@@ -20,11 +20,29 @@ store of **dirty cache lines** sitting in front of persistent memory:
 
 Only lines backed by PM regions are tracked: dirty DRAM lines need no
 write-back bookkeeping because DRAM is lost on crash anyway.
+
+The dirty set is a columnar table, at most one capacity's worth of rows:
+
+* a sorted ``int64`` key array, one key ``(Region.token << 40) | line`` per
+  dirty line, so each region's lines form one address-ordered slice that
+  ``searchsorted`` finds without a walk;
+* an aligned array of LRU stamps from a monotonic counter (larger is more
+  recent); eviction takes the smallest stamps, oldest first;
+* a ``token -> Region`` map holding each region with a dirty line, dropped
+  once its last line leaves.  Tokens are monotonic and never reused, unlike
+  ``id()``: a freed region's stale dirty lines can never alias a later
+  allocation.
+
+Natural evictions and the eADR crash drain write lines back through
+:meth:`OptaneModel.write_epochs`, one epoch per line, in eviction (LRU)
+order - the same events and media times as one ``write_epoch`` per line.
+An eviction burst leaves the table before its first write-back; until each
+victim's epoch is emitted it stays *in flight* here.  A crash raised from
+the k-th victim's epoch event therefore still finds victims k+1...N dirty,
+and under eADR drains them first, then the rest of the table in LRU order.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 import numpy as np
 
@@ -32,6 +50,10 @@ from .config import SystemConfig
 from .events import EventBus, LlcEvict, LlcFlush, LlcInstall
 from .memory import MemKind, Region
 from .optane import OptaneModel
+
+_TOKEN_SHIFT = 40
+_LINE_MASK = (1 << _TOKEN_SHIFT) - 1
+_NONE = np.empty(0, dtype=np.int64)
 
 
 class LastLevelCache:
@@ -43,20 +65,32 @@ class LastLevelCache:
         self._optane = optane
         self._line = config.cpu_cache_line_bytes
         self._capacity_lines = config.llc_ddio_bytes // self._line
-        # (region.token, line_no) -> region, in LRU order (oldest first).
-        # Tokens are monotonic and never reused, unlike id(): a freed
-        # region's stale dirty lines can never alias a later allocation.
-        self._dirty: OrderedDict[tuple[int, int], tuple[Region, int]] = OrderedDict()
+        self._keys = _NONE
+        self._stamps = _NONE
+        self._next_stamp = 0
+        self._regions: dict[int, Region] = {}
+        # The eviction burst being written back, and the index of its first
+        # victim whose epoch has not been emitted yet.
+        self._burst = _NONE
+        self._burst_next = 0
 
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._dirty)
+        return self._keys.size
+
+    def _span(self, token: int, first: int, last: int) -> tuple[int, int]:
+        """Table rows ``[lo, hi)`` holding ``token``'s lines ``first..last``."""
+        if not self._keys.size:
+            return 0, 0
+        base = token << _TOKEN_SHIFT
+        lo, hi = self._keys.searchsorted([base + first, base + last + 1]).tolist()
+        return lo, hi
 
     def dirty_lines(self, region: Region) -> list[int]:
         """Line numbers of ``region`` currently dirty in the LLC (sorted)."""
-        rid = region.token
-        return sorted(line for (r, line), _ in self._dirty.items() if r == rid)
+        lo, hi = self._span(region.token, 0, _LINE_MASK)
+        return (self._keys[lo:hi] & _LINE_MASK).tolist()
 
     def install_writes(self, region: Region, starts, lengths) -> None:
         """Record stores to PM-backed lines arriving at the LLC.
@@ -70,31 +104,74 @@ class LastLevelCache:
             return
         starts = np.atleast_1d(np.asarray(starts, dtype=np.int64))
         lengths = np.atleast_1d(np.asarray(lengths, dtype=np.int64))
-        total = int(lengths.sum())
-        # Streaming fast path: traffic far exceeding the DDIO window writes
-        # through continuously (lines evict as fast as they fill).  Persist
-        # the head of the stream directly and cache only the tail.
-        if total > 2 * self._capacity_lines * self._line:
-            tail_bytes = self._capacity_lines * self._line
-            starts, lengths = self._persist_all_but_tail(region, starts, lengths, tail_bytes)
-        rid = region.token
-        hits = fills = 0
-        for start, length in zip(starts.tolist(), lengths.tolist()):
-            if length <= 0:
-                continue
-            first = start // self._line
-            last = (start + length - 1) // self._line
-            for line in range(first, last + 1):
-                key = (rid, line)
-                if key in self._dirty:
-                    self._dirty.move_to_end(key)
-                    hits += 1
-                else:
-                    self._dirty[key] = (region, line)
-                    fills += 1
-        if hits or fills:
-            self._events.emit(LlcInstall(region=region.name, hits=hits, fills=fills))
+        window = self._capacity_lines * self._line
+        if starts.size == 1 and lengths[0] <= 2 * window:
+            touches, hits = self._install_segment(region.token, int(starts[0]), int(lengths[0]))
+        else:
+            # Streaming fast path: traffic far exceeding the DDIO window
+            # writes through continuously (lines evict as fast as they
+            # fill).  Persist the head of the stream directly and cache
+            # only the tail.
+            if int(lengths.sum()) > 2 * window:
+                starts, lengths = self._persist_all_but_tail(region, starts, lengths, window)
+            touches, hits = self._install_segments(region.token, starts, lengths)
+        if touches:
+            self._regions[region.token] = region
+            self._events.emit(LlcInstall(region=region.name, hits=hits,
+                                         fills=touches - hits))
         self._evict_over_capacity()
+
+    def _install_segment(self, token: int, start: int, length: int) -> tuple[int, int]:
+        """Touch one segment's lines, in address order; returns (touches, hits).
+
+        Each line of ``first..last`` is touched once, so the new rows are
+        one sorted run that replaces the table slice it overlaps.
+        """
+        if length <= 0:
+            return 0, 0
+        first = start // self._line
+        last = (start + length - 1) // self._line
+        lo, hi = self._span(token, first, last)
+        base = token << _TOKEN_SHIFT
+        stamp = self._next_stamp
+        n = last - first + 1
+        self._next_stamp = stamp + n
+        keys = np.arange(base + first, base + last + 1)
+        stamps = np.arange(stamp, stamp + n)
+        if hi - lo < self._keys.size:
+            keys = np.concatenate((self._keys[:lo], keys, self._keys[hi:]))
+            stamps = np.concatenate((self._stamps[:lo], stamps, self._stamps[hi:]))
+        self._keys, self._stamps = keys, stamps
+        return n, hi - lo
+
+    def _install_segments(self, token: int, starts: np.ndarray,
+                          lengths: np.ndarray) -> tuple[int, int]:
+        """Touch many segments' lines in order; returns (touches, hits).
+
+        A line touched more than once takes the LRU position of its last
+        touch, and only its first touch can be a fill.
+        """
+        keep = lengths > 0
+        starts, lengths = starts[keep], lengths[keep]
+        if starts.size == 0:
+            return 0, 0
+        firsts = starts // self._line
+        counts = (starts + lengths - 1) // self._line - firsts + 1
+        touches = int(counts.sum())
+        # Every touched line's key, in touch order.
+        shift = np.cumsum(counts) - counts - firsts - (token << _TOKEN_SHIFT)
+        touched = np.arange(touches, dtype=np.int64) - np.repeat(shift, counts)
+        keys, from_end = np.unique(touched[::-1], return_index=True)
+        stamps = self._next_stamp + touches - 1 - from_end
+        self._next_stamp += touches
+        rows = self._keys.searchsorted(keys)
+        hit = rows < self._keys.size
+        hit[hit] = self._keys[rows[hit]] == keys[hit]
+        self._stamps[rows[hit]] = stamps[hit]
+        fresh = ~hit
+        self._keys = np.insert(self._keys, rows[fresh], keys[fresh])
+        self._stamps = np.insert(self._stamps, rows[fresh], stamps[fresh])
+        return touches, touches - int(np.count_nonzero(fresh))
 
     def _persist_all_but_tail(self, region, starts, lengths, tail_bytes):
         """Write the stream's head straight through; return the tail segments."""
@@ -131,20 +208,63 @@ class LastLevelCache:
         return np.asarray(keep_starts, dtype=np.int64), np.asarray(keep_lengths, dtype=np.int64)
 
     def _evict_over_capacity(self) -> None:
-        evicted = 0
-        while len(self._dirty) > self._capacity_lines:
-            (_, line), (region, _) = self._dirty.popitem(last=False)
-            self._write_back(region, line)
-            evicted += 1
-        if evicted:
-            self._events.emit(LlcEvict(lines=evicted))
+        excess = self._keys.size - self._capacity_lines
+        if excess <= 0:
+            return
+        stamps = self._stamps
+        victims = np.argpartition(stamps, excess - 1)[:excess]
+        victims = victims[np.argsort(stamps[victims])]
+        keep = np.ones(stamps.size, dtype=bool)
+        keep[victims] = False
+        self._burst = self._keys[victims]
+        self._burst_next = 0
+        self._keys = self._keys[keep]
+        self._stamps = stamps[keep]
+        self._write_back(self._burst)
+        for token in np.unique(self._burst >> _TOKEN_SHIFT).tolist():
+            self._release(token)
+        self._burst = _NONE
+        self._events.emit(LlcEvict(lines=excess))
 
-    def _write_back(self, region: Region, line: int) -> None:
-        start = line * self._line
-        size = min(self._line, region.size - start)
-        # Natural evictions are asynchronous background traffic; they persist
-        # data functionally but are not charged to any foreground timeline.
-        self._optane.write_epoch(region, [start], [size])
+    def _write_back(self, keys: np.ndarray) -> None:
+        """Persist the lines of ``keys`` in order, one Optane epoch per line.
+
+        Natural evictions are asynchronous background traffic; they persist
+        data functionally but are not charged to any foreground timeline.
+        Before each epoch the burst cursor moves past its line, so a crash
+        raised from the epoch's event sees only the later lines in flight.
+        """
+        tokens = keys >> _TOKEN_SHIFT
+        starts = (keys & _LINE_MASK) * self._line
+        cuts = (np.flatnonzero(tokens[1:] != tokens[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, keys.size]):
+            region = self._regions[int(tokens[lo])]
+            run = starts[lo:hi]
+            n = hi - lo
+
+            def advance(group: int, lo: int = lo) -> None:
+                self._burst_next = lo + group + 1
+
+            self._optane.write_epochs(
+                region, run, np.minimum(self._line, region.size - run),
+                np.arange(n), n, before_group=advance)
+
+    def _release(self, token: int) -> None:
+        """Forget ``token``'s region once its last dirty line has left."""
+        keys = self._keys
+        row = keys.searchsorted(token << _TOKEN_SHIFT)
+        if row == keys.size or keys[row] >> _TOKEN_SHIFT != token:
+            del self._regions[token]
+
+    def _remove(self, token: int, lo: int, hi: int) -> None:
+        """Delete table rows ``[lo, hi)``, all lines of ``token``."""
+        if hi - lo == self._keys.size:
+            self._keys = self._stamps = _NONE
+            del self._regions[token]
+            return
+        self._keys = np.concatenate((self._keys[:lo], self._keys[hi:]))
+        self._stamps = np.concatenate((self._stamps[:lo], self._stamps[hi:]))
+        self._release(token)
 
     # ------------------------------------------------------------------
 
@@ -158,34 +278,18 @@ class LastLevelCache:
         """
         if region.kind is not MemKind.PM or size <= 0:
             return 0.0
-        rid = region.token
-        first = offset // self._line
-        last = (offset + size - 1) // self._line
-        span_lines = last - first + 1
-        # Walk whichever is smaller: the address range or the dirty set.
-        if span_lines <= len(self._dirty):
-            hits = [
-                line
-                for line in range(first, last + 1)
-                if (rid, line) in self._dirty
-            ]
-        else:
-            hits = [
-                line
-                for (r, line) in list(self._dirty)
-                if r == rid and first <= line <= last
-            ]
-        if not hits:
+        token = region.token
+        lo, hi = self._span(token, offset // self._line, (offset + size - 1) // self._line)
+        if lo == hi:
             return 0.0
+        starts = (self._keys[lo:hi] & _LINE_MASK) * self._line
         # Announce before touching the dirty set: a crash during this
         # emission must see the lines either still cached (eADR drains
         # them) or already persisted - never in between.  Real hardware
         # has no such limbo (a CLFLUSHOPT'd line is in the cache or in the
         # ADR-protected controller queue); found by the litmus fuzzer.
-        self._events.emit(LlcFlush(region=region.name, lines=len(hits)))
-        for line in hits:
-            del self._dirty[(rid, line)]
-        starts = np.asarray(sorted(hits), dtype=np.int64) * self._line
+        self._events.emit(LlcFlush(region=region.name, lines=hi - lo))
+        self._remove(token, lo, hi)
         return self._optane.flush_lines(region, starts, self._line)
 
     def drop_range(self, region: Region, offset: int, size: int) -> None:
@@ -197,15 +301,10 @@ class LastLevelCache:
         """
         if region.kind is not MemKind.PM or size <= 0:
             return
-        rid = region.token
-        first = offset // self._line
-        last = (offset + size - 1) // self._line
-        if last - first + 1 <= len(self._dirty):
-            for line in range(first, last + 1):
-                self._dirty.pop((rid, line), None)
-        else:
-            for key in [k for k in self._dirty if k[0] == rid and first <= k[1] <= last]:
-                del self._dirty[key]
+        token = region.token
+        lo, hi = self._span(token, offset // self._line, (offset + size - 1) // self._line)
+        if lo < hi:
+            self._remove(token, lo, hi)
 
     def flush_region(self, region: Region) -> float:
         """Flush every dirty line of ``region``; returns media seconds."""
@@ -219,9 +318,14 @@ class LastLevelCache:
         Without eADR all dirty lines are lost.  With eADR the enhanced ADR
         domain covers the LLC, so every dirty line drains to PM (Section
         3.3: the feature "will drain the entire contents of CPU caches to
-        PM on power failures").
+        PM on power failures") - an interrupted eviction burst's remaining
+        victims first, then the table from least to most recently used.
         """
+        in_flight = self._burst[self._burst_next:]
+        self._burst = _NONE
         if eadr:
-            for (_, line), (region, _) in list(self._dirty.items()):
-                self._write_back(region, line)
-        self._dirty.clear()
+            drain = np.concatenate((in_flight, self._keys[np.argsort(self._stamps)]))
+            if drain.size:
+                self._write_back(drain)
+        self._keys = self._stamps = _NONE
+        self._regions.clear()

@@ -123,9 +123,23 @@ class TestTokenKeying:
     """Dirty lines are keyed by Region.token, never by id()."""
 
     def test_dirty_keys_use_region_tokens(self, machine):
-        r = machine.alloc_pm("x", 1024)
-        machine.llc.install_writes(r, [0], [64])
-        assert (r.token, 0) in machine.llc._dirty
+        # Two live regions dirty the same line numbers; each region's lines
+        # are tracked, counted and flushed independently of the other's.
+        a = machine.alloc_pm("a", 1024)
+        b = machine.alloc_pm("b", 1024)
+        assert a.token != b.token
+        machine.llc.install_writes(a, [0], [128])
+        machine.llc.install_writes(b, [64], [128])
+        assert machine.llc.dirty_lines(a) == [0, 1]
+        assert machine.llc.dirty_lines(b) == [1, 2]
+        assert len(machine.llc) == 4
+        assert machine.llc.flush_range(a, 0, 1024) > 0
+        assert machine.llc.dirty_lines(a) == []
+        assert machine.llc.dirty_lines(b) == [1, 2]
+        assert len(machine.llc) == 2
+        machine.llc.drop_range(b, 64, 64)
+        assert machine.llc.dirty_lines(b) == [2]
+        assert len(machine.llc) == 1
 
     def test_leaked_region_lines_never_alias_a_reallocation(self):
         # A mapping dropped without Machine.free leaves its dirty lines
@@ -147,6 +161,34 @@ class TestTokenKeying:
             del r2
         # The stale lines are still attributed to the leaked region only.
         assert len(machine.llc) == stale
+
+    def test_cache_holds_no_region_once_its_lines_leave(self):
+        # The LLC keeps a region alive only while it has dirty lines:
+        # after its last line is evicted, flushed or dropped, freeing the
+        # region must let it be collected.
+        import gc
+        import weakref
+
+        machine = Machine(SystemConfig().with_overrides(llc_ddio_bytes=4 * 64))
+        other = machine.alloc_pm("other", 1024)
+        machine.llc.install_writes(other, [0], [64])
+        refs = []
+        for name, leave in (("evicted", None), ("flushed", "flush"),
+                            ("dropped", "drop")):
+            r = machine.alloc_pm(name, 1024)
+            machine.llc.install_writes(r, [0, 256], [64, 64])
+            if leave == "flush":
+                machine.llc.flush_range(r, 0, 1024)
+            elif leave == "drop":
+                machine.llc.drop_range(r, 0, 1024)
+            else:
+                machine.llc.install_writes(other, [128], [4 * 64])
+            assert machine.llc.dirty_lines(r) == []
+            refs.append(weakref.ref(r))
+            del machine._regions[name]
+            del r
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
 
     def test_free_drops_lines_before_name_reuse(self, machine):
         r1 = machine.alloc_pm("x", 1024)
