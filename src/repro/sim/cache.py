@@ -271,10 +271,11 @@ class LastLevelCache:
     def flush_range(self, region: Region, offset: int, size: int) -> float:
         """Flush the dirty lines covering ``[offset, offset+size)`` to PM.
 
-        Models a CLFLUSHOPT loop followed by a drain: each dirty line in the
-        range is written back as its own drain epoch (this is what makes
-        flush-grain access patterns pay Optane's partial-line penalty).
-        Returns the media seconds consumed.
+        Models a CLFLUSHOPT loop followed by a drain: the range's dirty
+        lines are written back by :meth:`OptaneModel.flush_lines` as one
+        ``line_drain`` event, priced per line - each line pays its own
+        XPLine touch, which is what makes flush-grain access patterns pay
+        Optane's partial-line penalty.  Returns the media seconds consumed.
         """
         if region.kind is not MemKind.PM or size <= 0:
             return 0.0

@@ -16,8 +16,11 @@ and everything volatile disappears.
 class whose ``frontier_kind`` is non-``None`` (kernel launches, warp drain
 rounds, fences, Optane epochs, DDIO toggles, ...) marks a semantically
 distinct persistency boundary, and :meth:`CrashInjector.arm_at_frontier`
-crashes the machine at the moment the N-th such event is emitted - *before*
-its hardware side effect applies.  Because simulated runs are deterministic,
+crashes the machine from inside the emission of the N-th such event.
+Whether that event's own persistence side effect survives depends on its
+kind - an Optane epoch is emitted after its bytes persist, a flush or warp
+drain before its lines move (see :meth:`CrashInjector.arm_at_frontier`).
+Because simulated runs are deterministic,
 the event ordinal is an exact, replayable coordinate: re-arming the same
 ordinal on a fresh system reproduces the identical crash state.  Frontier
 arming needs no cooperation from the workload (no ``crash_injector``
@@ -143,10 +146,25 @@ class CrashInjector:
 
         Counts events whose class has a non-``None`` ``frontier_kind`` (see
         :mod:`repro.sim.events`), 0-based, from the moment of arming.  The
-        crash fires *during* emission - before the emitting hardware model
-        applies the event's persistence side effect - so ordinal *n* means
-        "everything before frontier event *n* happened, the event itself
-        and everything after it did not".
+        crash fires *during* emission: everything before frontier event *n*
+        happened and nothing after it did.  The event's own side effect
+        depends on where its model emits it:
+
+        * ``optane-epoch`` (:class:`~repro.sim.events.OptaneEpoch`,
+          :class:`~repro.sim.events.BackgroundPersist`) - emitted *after*
+          the epoch's bytes persist, so the crash keeps that epoch;
+        * ``cpu-flush`` (:class:`~repro.sim.events.LlcFlush`) - emitted
+          *before* its lines leave the LLC: they are lost, or drained by
+          eADR;
+        * ``warp-drain`` (:class:`~repro.sim.events.WarpDrain`) - emitted
+          *before* the drained stores reach host memory: they are lost;
+        * ``persist-window`` (:class:`~repro.sim.events.DdioToggle`) -
+          emitted *after* the DDIO switch flips;
+        * ``dma`` (:class:`~repro.sim.events.DmaTransfer`) - emitted after
+          the copy lands in the destination's visible image, before a PM
+          destination's LLC install;
+        * ``kernel-launch``, ``fence``, ``epoch-boundary`` and ``mark`` -
+          markers with no persistence side effect of their own.
         """
         if ordinal < 0:
             raise ValueError("frontier ordinal must be non-negative")

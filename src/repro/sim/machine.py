@@ -238,9 +238,13 @@ class Machine:
     def crash(self) -> None:
         """Simulate a power failure / fail-stop crash.
 
-        The LLC applies its (e)ADR semantics first, then every region keeps
-        only its persisted image (PM) or is poisoned (DRAM/HBM).
+        An Optane write-back in flight (a crash raised from one of its
+        events) first persists the epochs it has emitted, and its stream
+        state is what the eADR drain chains from.  Then the LLC applies its
+        (e)ADR semantics, and every region keeps only its persisted image
+        (PM) or is poisoned (DRAM/HBM).
         """
+        self.optane.settle()
         self.events.emit(Crash(eadr=self.eadr))
         self.llc.crash(self.eadr)
         for region in self._regions.values():

@@ -96,6 +96,22 @@ def merge_segments_grouped(
     return run_starts, run_lengths, run_groups
 
 
+class _InFlight:
+    """The running :meth:`OptaneModel.write_epochs` call, for :meth:`settle`."""
+
+    __slots__ = ("region", "starts", "lengths", "bounds", "done")
+
+    def __init__(self, region: Region, starts: np.ndarray, lengths: np.ndarray,
+                 bounds: list[int]) -> None:
+        self.region = region
+        self.starts = starts
+        self.lengths = lengths
+        #: group g's runs are ``[bounds[g], bounds[g + 1])``
+        self.bounds = bounds
+        #: groups whose epoch event has been emitted
+        self.done = 0
+
+
 class OptaneModel:
     """Pattern-aware write/read timing for one Optane persistence domain."""
 
@@ -112,6 +128,8 @@ class OptaneModel:
         #: sequential continuation of a dead one.
         self._last_line: int | None = None
         self._last_region: int | None = None
+        #: The :meth:`write_epochs` call in progress, if any.
+        self._flight: _InFlight | None = None
 
     def reset_stream(self) -> None:
         """Forget sequentiality history (e.g. after a crash/restart)."""
@@ -174,12 +192,23 @@ class OptaneModel:
                      before_group=None) -> np.ndarray:
         """Drain ``n_groups`` consecutive epochs in one vectorized pass.
 
-        Semantically identical to calling :meth:`write_epoch` once per group
-        in ascending group order - same per-epoch :class:`OptaneEpoch`
-        events, same cross-epoch sequentiality chaining, same functional
-        persistence applied group by group (so a crash observer armed on
-        the event stream sees exactly the per-epoch persistence frontier) -
-        but the XPLine arithmetic for all groups runs as one numpy pass.
+        Observably identical to calling :meth:`write_epoch` once per group
+        in ascending group order: the same per-epoch :class:`OptaneEpoch`
+        events and media times, the same cross-epoch sequentiality
+        chaining.  The XPLine arithmetic for all groups runs as one numpy
+        pass, and the bytes are copied once, not per group: the call keeps
+        an in-flight record (region, runs, group bounds, and the number of
+        groups whose epoch has been emitted) and persists the finished
+        groups' runs, merged by :func:`merge_segments`, in one
+        ``persist_ranges`` when it returns or raises.  The only reader of
+        ``Region.persisted`` that can run inside the call is a crash raised
+        from an event subscriber, and :meth:`Machine.crash
+        <repro.sim.machine.Machine.crash>` calls :meth:`settle` first - so
+        a crash at any group's event sees exactly the groups up to and
+        including that one persisted, and the stream state as of that
+        group's last line.  This relies on the hooks and subscribers not
+        writing ``visible`` or reading ``persisted`` of ``region`` mid-call,
+        and not writing to this model again before the call returns.
 
         The inputs are *pre-merged* runs, e.g. from
         :func:`merge_segments_grouped`: within each group they must be
@@ -189,10 +218,12 @@ class OptaneModel:
         after each group's event - the hook the machine uses to keep its
         per-arrival events interleaved exactly as the unbatched path.
         ``before_group(group)`` is the symmetric hook invoked before each
-        group persists, so a caller can emit its own per-group event ahead
+        group's epoch, so a caller can emit its own per-group event ahead
         of the epoch's (the launch engine's deferred warp drains).
         Returns the per-group media seconds.
         """
+        if self._flight is not None:
+            raise RuntimeError("write_epochs re-entered while a call is in flight")
         run_starts = np.asarray(run_starts, dtype=np.int64)
         run_lengths = np.asarray(run_lengths, dtype=np.int64)
         run_groups = np.asarray(run_groups, dtype=np.int64)
@@ -223,26 +254,51 @@ class OptaneModel:
         emit = self._events.emit
         # Python-scalar copies of the per-group columns: plain list indexing
         # in the loop below beats boxing numpy scalars thousands of times.
-        last_l = last_lines.tolist()
         logical_l = logical_g.tolist()
         touches_l = touches_g.tolist()
         random_l = random_g.tolist()
         times_l = times.tolist()
-        for g in range(n_groups):
-            if before_group is not None:
-                before_group(g)
-            lo, hi = bounds[g], bounds[g + 1]
-            region.persist_ranges(run_starts[lo:hi], run_lengths[lo:hi])
-            self._last_line = last_l[hi - 1]
-            self._last_region = region.token
-            emit(OptaneEpoch(
-                region=name, logical_bytes=logical_l[g],
-                media_bytes=touches_l[g] * line, segments=hi - lo,
-                random_starts=random_l[g], media_time=times_l[g],
-            ))
-            if after_group is not None:
-                after_group(g, logical_l[g])
+        flight = self._flight = _InFlight(region, run_starts, run_lengths, bounds)
+        try:
+            for g in range(n_groups):
+                if before_group is not None:
+                    before_group(g)
+                flight.done = g + 1
+                emit(OptaneEpoch(
+                    region=name, logical_bytes=logical_l[g],
+                    media_bytes=touches_l[g] * line,
+                    segments=bounds[g + 1] - bounds[g],
+                    random_starts=random_l[g], media_time=times_l[g],
+                ))
+                if after_group is not None:
+                    after_group(g, logical_l[g])
+        finally:
+            # A crash mid-call has settled (and cleared) the record already.
+            if self._flight is flight:
+                self.settle()
         return times
+
+    def settle(self) -> None:
+        """Persist the finished groups of the in-flight :meth:`write_epochs`.
+
+        Copies the runs of every group whose epoch event has been emitted,
+        sets the stream state to that prefix's last line, and clears the
+        record; a no-op when no call is in flight.  The machine calls this
+        before applying crash semantics, so a crash raised from inside the
+        call sees the same persisted image and stream state as if each
+        epoch had persisted on its own.
+        """
+        flight = self._flight
+        if flight is None:
+            return
+        self._flight = None
+        end = flight.bounds[flight.done]
+        if end == 0:
+            return
+        starts, lengths = flight.starts[:end], flight.lengths[:end]
+        flight.region.persist_ranges(*merge_segments(starts, lengths))
+        self._last_line = int(starts[end - 1] + lengths[end - 1] - 1) // self._line
+        self._last_region = flight.region.token
 
     def write_flush_grain(self, region: Region, offset: int, size: int,
                           grain: int = 64, random: bool = False) -> float:
@@ -278,11 +334,15 @@ class OptaneModel:
         return time
 
     def flush_lines(self, region: Region, line_starts, line_size: int) -> float:
-        """Drain a set of dirty cache lines, each as its own epoch.
+        """Drain a set of dirty cache lines as one ``line_drain`` event.
 
-        Used by the LLC write-back paths.  Sequentiality is judged between
-        consecutive flushes in sorted address order; isolated lines pay the
-        random penalty.  Returns media seconds.
+        Used by :meth:`LastLevelCache.flush_range
+        <repro.sim.cache.LastLevelCache.flush_range>`.  All lines persist
+        together and one :class:`OptaneEpoch` is emitted after them, but
+        the media time is priced per line: every line pays its own XPLine
+        touch, with sequentiality judged between consecutive lines in
+        sorted address order, and isolated lines pay the random penalty.
+        Returns media seconds.
         """
         line_starts = np.sort(np.asarray(line_starts, dtype=np.int64))
         if line_starts.size == 0:
