@@ -48,7 +48,7 @@ class CapEngine:
         # how many systems the process built before this one.
         self._bounce_ids = itertools.count()
         if mode is CapMode.EADR and not system.eadr:
-            raise ValueError("CAP-eADR requires a System(eadr=True) platform")
+            raise ValueError("CAP-eADR requires a System(persistency='eadr') platform")
 
     # ------------------------------------------------------------------
 

@@ -24,6 +24,7 @@ carrying its queueing + execution latency on the simulated clock.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -50,6 +51,14 @@ class Batcher:
         self.store = store
         self.admission = admission
         self.config = config or BatcherConfig()
+        # A batch of zero never drains `pending` and a NaN deadline never
+        # arrives: either would spin the front-end forever.
+        if self.config.target_batch < 1:
+            raise ValueError(
+                f"target_batch must be >= 1, got {self.config.target_batch}")
+        if not math.isfinite(self.config.linger):
+            raise ValueError(
+                f"linger must be finite, got {self.config.linger}")
         if self.config.target_batch > store.config.max_batch:
             raise ValueError(
                 f"target batch {self.config.target_batch} exceeds the store's "

@@ -71,7 +71,7 @@ class TestCapEngine:
             CapEngine(system, CapMode.EADR)
 
     def test_cap_eadr_faster_than_mm(self):
-        s1, s2 = System(), System(eadr=True)
+        s1, s2 = System(), System(persistency="eadr")
         h1, f1 = self._setup(s1)
         h2, f2 = self._setup(s2)
         t_mm = CapEngine(s1, CapMode.MM).persist_output(h1, 0, f1.region, 0, 1 << 16)

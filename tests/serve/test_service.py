@@ -3,16 +3,21 @@
 The headline acceptance properties live here:
 
 * ``serve --seed S`` is deterministic - two runs of the same config give
-  byte-identical summary JSON;
+  byte-identical summary JSON, and three summaries are pinned to fixed
+  SHA-256 digests;
 * a mid-traffic :class:`SimulatedCrash` with ``shards >= 2`` is recovered
   shard-by-shard through the existing Fig. 6b kernel with every serve
   invariant passing.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.serve.admission import AdmissionController
 from repro.serve.batcher import Batcher, BatcherConfig
+from repro.serve.frontend import Frontend
 from repro.serve.metrics import summary_json
 from repro.serve.service import ServiceConfig, run_service
 from repro.serve.store import (
@@ -21,8 +26,9 @@ from repro.serve.store import (
     recover_store,
     serve_invariants,
 )
-from repro.serve.traffic import Request
+from repro.serve.traffic import Request, TenantStream
 from repro.sim.crash import CrashInjector, SimulatedCrash
+from repro.sim.events import ServiceRequest
 from repro.workloads.base import Mode, make_system
 
 SMALL_STORE = dict(n_sets=64, ways=8, n_shards=4, max_batch=64)
@@ -189,6 +195,27 @@ class TestBatcher:
 # ---------------------------------------------------------------------------
 
 
+class TestFrontend:
+    def test_equal_arrivals_are_offered_in_push_order(self):
+        """Poisson traffic never ties exactly, so the pinned summaries
+        cannot see the tie-break: tenants due at the same instant offer in
+        the order they were pushed (stream order, then re-push order)."""
+        store = small_store()
+        system = store.system
+        admission = AdmissionController()
+        batcher = Batcher(store, admission, BatcherConfig(target_batch=32))
+        offers = []
+        system.events.subscribe(lambda ts, e: offers.append(e.tenant)
+                                if isinstance(e, ServiceRequest) else None)
+        start = system.clock.now
+        streams = [TenantStream(t, [_req(k, tenant=t, arrival=start + a)
+                                    for k, a in ((1, 1e-6), (2, 2e-6))])
+                   for t in ("a", "b", "c")]
+        Frontend(system, admission, batcher).run(streams)
+        assert offers == ["a", "b", "c", "a", "b", "c"]
+        assert not batcher.pending
+
+
 class TestRunService:
     def test_summary_is_byte_identical_per_seed(self):
         a = run_service(ServiceConfig(**SMALL_SERVICE))
@@ -196,6 +223,26 @@ class TestRunService:
         assert summary_json(a["summary"]) == summary_json(b["summary"])
         c = run_service(ServiceConfig(**{**SMALL_SERVICE, "seed": 7}))
         assert summary_json(a["summary"]) != summary_json(c["summary"])
+
+    @pytest.mark.parametrize("overrides, digest", [
+        ({}, "95ba8321fbdc844d5413354f1d5c1f23"
+             "c56e72a635c8664b378e8c9c85d37bf8"),
+        ({"rate": 3_000_000.0, "tenant_rate": 500_000.0},
+         "d9f6d440881709300bd17d45f1e8af1b"
+         "9f655a56709d4d1cd2a3ebea660cdaae"),
+        # queue-full shedding: the per-tenant split depends on the order
+        # in which the front-end makes same-instant offers
+        ({"tenants": 4, "rate": 2_000_000.0, "max_queue_depth": 64,
+          "target_batch": 32},
+         "d91c1a9bcce6a53822e813ead99b425b"
+         "3a23a106ad50e2df2716281ce028008d"),
+    ], ids=["small", "overload", "queue-full"])
+    def test_summary_matches_pinned_digest(self, overrides, digest):
+        """The summaries are pinned to fixed bytes, not just run-to-run
+        equality, so a front-end that reorders offers cannot pass."""
+        summary = run_service(ServiceConfig(**{**SMALL_SERVICE, **overrides}))
+        text = summary_json(summary["summary"])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_summary_reports_the_service_story(self):
         summary = run_service(ServiceConfig(**SMALL_SERVICE))["summary"]

@@ -13,7 +13,9 @@ from repro.serve.admission import (
     AdmissionController,
     TokenBucket,
 )
+from repro.serve.batcher import Batcher, BatcherConfig
 from repro.serve.shards import ShardedHclLog, shard_of_sets, shard_set_range
+from repro.serve.store import ShardedKvStore, StoreConfig
 from repro.serve.traffic import TrafficConfig, TrafficGenerator
 from repro.workloads.base import Mode, make_system
 
@@ -81,6 +83,41 @@ class TestAdmissionController:
         ctl = AdmissionController()
         with pytest.raises(AssertionError):
             ctl.drained(1)
+
+
+# ---------------------------------------------------------------------------
+# batcher configuration
+# ---------------------------------------------------------------------------
+
+
+class TestBatcherConfig:
+    """Degenerate triggers are rejected at construction, before any run.
+
+    A ``target_batch`` below one flushes empty windows forever, and a
+    non-finite ``linger`` gives a deadline the clock never reaches (or,
+    for ``inf``, latency percentiles of NaN).
+    """
+
+    def _batcher(self, **cfg):
+        store = ShardedKvStore.create(
+            Mode.GPM, None, StoreConfig(n_sets=64, ways=8, n_shards=2,
+                                        max_batch=64))
+        return Batcher(store, AdmissionController(), BatcherConfig(**cfg))
+
+    @pytest.mark.parametrize("target_batch", [0, -4])
+    def test_rejects_target_batch_below_one(self, target_batch):
+        with pytest.raises(ValueError, match="target_batch"):
+            self._batcher(target_batch=target_batch)
+
+    @pytest.mark.parametrize("linger", [float("nan"), float("inf"),
+                                        float("-inf")])
+    def test_rejects_non_finite_linger(self, linger):
+        with pytest.raises(ValueError, match="linger"):
+            self._batcher(target_batch=32, linger=linger)
+
+    def test_accepts_smallest_valid_trigger(self):
+        batcher = self._batcher(target_batch=1, linger=0.0)
+        assert batcher.config.target_batch == 1
 
 
 # ---------------------------------------------------------------------------

@@ -88,30 +88,24 @@ def test_register_mode_rejects_unknown_model():
 
 
 # ---------------------------------------------------------------------------
-# resolve_model: the eADR deprecation shim
+# resolve_model: model specs
 # ---------------------------------------------------------------------------
 
 
-def test_resolve_model_default_and_shim():
+def test_resolve_model_default_names_and_instances():
     assert type(resolve_model(None)) is Strict
-    assert type(resolve_model(None, eadr=True)) is EadrStrict
     assert type(resolve_model("epoch")) is Epoch
     inst = Relaxed()
     assert resolve_model(inst) is inst
 
 
 def test_resolve_model_conflicts_and_types():
-    with pytest.raises(ValueError):
-        resolve_model("strict", eadr=True)
     with pytest.raises(TypeError):
         resolve_model(42)
-    # eadr=True with an eADR-capable model is consistent, not an error.
-    assert resolve_model("eadr", eadr=True).eadr
 
 
-def test_system_eadr_shim_unchanged():
-    # Existing call sites keep working: the boolean resolves to EadrStrict.
-    system = System(eadr=True)
+def test_system_eadr_model():
+    system = System(persistency="eadr")
     assert system.eadr and system.machine.eadr
     assert type(system.persistency) is EadrStrict
     plain = System()
